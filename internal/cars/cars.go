@@ -17,6 +17,7 @@ package cars
 
 import (
 	"fmt"
+	"sort"
 
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/ir"
@@ -38,6 +39,11 @@ func Schedule(sb *ir.Superblock, m *machine.Config, pins sched.Pins) (*sched.Sch
 func ScheduleFixed(sb *ir.Superblock, m *machine.Config, pins sched.Pins, assign []int) (*sched.Schedule, error) {
 	if len(assign) != sb.N() {
 		return nil, fmt.Errorf("cars: assignment covers %d of %d instructions", len(assign), sb.N())
+	}
+	for u, k := range assign {
+		if k < 0 || k >= m.Clusters {
+			return nil, fmt.Errorf("cars: instruction %d assigned to cluster %d of %d", u, k, m.Clusters)
+		}
 	}
 	return schedule(sb, m, pins, assign)
 }
@@ -65,31 +71,17 @@ func schedule(sb *ir.Superblock, m *machine.Config, pins sched.Pins, fixed []int
 			return nil, fmt.Errorf("cars: machine %q has no %s units", m.Name, class)
 		}
 	}
-	s := &state{
-		sb:       sb,
-		m:        m,
-		out:      sched.New(sb, m, pins),
-		prio:     priorities(sb),
-		fixed:    fixed,
-		fuBusy:   make(map[fuSlot]int),
-		busBusy:  make(map[int]int),
-		commOf:   make(map[int]int),
-		liveHome: make(map[int][]int),
-	}
-	for oi, u := range sb.LiveOuts {
-		s.liveHome[u] = append(s.liveHome[u], pins.LiveOut[oi])
-	}
+	s := newState(sb, m, pins, fixed)
 	if err := s.run(); err != nil {
 		return nil, err
 	}
 	return s.out, nil
 }
 
-type fuSlot struct {
-	cycle, cluster int
-	class          ir.Class
-}
-
+// state is the scheduler's working set, kept in flat slices: the
+// cycle-indexed resource tables are bounded by the horizon, values are
+// indexed densely (instruction ids, then live-ins), and the ready list
+// is maintained incrementally from predecessor counts.
 type state struct {
 	sb    *ir.Superblock
 	m     *machine.Config
@@ -97,12 +89,108 @@ type state struct {
 	prio  []float64
 	fixed []int // optional precomputed cluster per instruction
 
-	fuBusy   map[fuSlot]int
-	busBusy  map[int]int
-	commOf   map[int]int   // value (instr id or −(li+1)) → committed comm cycle
-	liveHome map[int][]int // live-out producer → pinned cluster(s)
+	horizon   int
+	occ       int     // bus occupancy per communication
+	finalExit int     // id of the region-ending exit, or −1
+	fuCap     []int   // [cluster*NumClasses+class] → units
+	fuBusy    []int   // [(cycle*clusters+cluster)*NumClasses+class] → units used
+	busBusy   []int   // cycle → buses used by committed communications
+	commOf    []int   // value index (see valueIndex) → committed comm cycle, or −1
+	liveIns   [][]int // instruction → live-in indices it consumes
+	liveHome  [][]int // live-out producer → pinned cluster(s)
+	load      []int   // cluster → instructions placed there
 
+	predsLeft []int  // instruction → in-edges from unscheduled producers
+	rank      []int  // instruction → position in (priority desc, id asc) order
+	ready     []int  // unscheduled instructions with every producer scheduled, by rank
+	pending   []comm // tentative communications of the current feasibleAt
+
+	maxDone   int // latest completion cycle of any scheduled instruction
+	maxComm   int // latest committed communication cycle, or −1
 	scheduled int
+}
+
+// comm is one tentative broadcast: value (instruction id, or −(li+1)
+// for live-in li) at cycle.
+type comm struct{ value, cycle int }
+
+func newState(sb *ir.Superblock, m *machine.Config, pins sched.Pins, fixed []int) *state {
+	n := sb.N()
+	s := &state{
+		sb:        sb,
+		m:         m,
+		out:       sched.New(sb, m, pins),
+		prio:      priorities(sb),
+		fixed:     fixed,
+		occ:       m.BusOccupancy(),
+		finalExit: -1,
+		maxComm:   -1,
+	}
+	if exits := sb.Exits(); len(exits) > 0 {
+		s.finalExit = exits[len(exits)-1]
+	}
+	h := 4
+	for _, in := range sb.Instrs {
+		h += in.Latency + 2*m.BusLatency
+	}
+	s.horizon = h
+	s.fuCap = make([]int, m.Clusters*ir.NumClasses)
+	for k := 0; k < m.Clusters; k++ {
+		for cl := 0; cl < ir.NumClasses; cl++ {
+			s.fuCap[k*ir.NumClasses+cl] = m.ClusterFU(k, ir.Class(cl))
+		}
+	}
+	s.fuBusy = make([]int, (h+1)*m.Clusters*ir.NumClasses)
+	// Issue cycles stay within the horizon and operands are ready by
+	// horizon + latency ≤ 2·horizon; a live-out copy may search one more
+	// horizon past its producer's completion.
+	s.busBusy = make([]int, 3*h+s.occ)
+	s.commOf = make([]int, n+len(sb.LiveIns))
+	for i := range s.commOf {
+		s.commOf[i] = -1
+	}
+	s.liveIns = make([][]int, n)
+	for li, l := range sb.LiveIns {
+		for _, c := range l.Consumers {
+			s.liveIns[c] = append(s.liveIns[c], li)
+		}
+	}
+	s.liveHome = make([][]int, n)
+	for oi, u := range sb.LiveOuts {
+		s.liveHome[u] = append(s.liveHome[u], pins.LiveOut[oi])
+	}
+	s.load = make([]int, m.Clusters)
+
+	byPrio := make([]int, n)
+	for u := range byPrio {
+		byPrio[u] = u
+	}
+	sort.Slice(byPrio, func(i, j int) bool {
+		a, b := byPrio[i], byPrio[j]
+		return s.prio[a] > s.prio[b] || (s.prio[a] == s.prio[b] && a < b)
+	})
+	s.rank = make([]int, n)
+	for r, u := range byPrio {
+		s.rank[u] = r
+	}
+	s.predsLeft = make([]int, n)
+	for u := 0; u < n; u++ {
+		s.predsLeft[u] = len(sb.InEdges(u))
+		if s.predsLeft[u] == 0 {
+			s.ready = append(s.ready, u)
+		}
+	}
+	sort.Slice(s.ready, func(i, j int) bool { return s.rank[s.ready[i]] < s.rank[s.ready[j]] })
+	return s
+}
+
+// valueIndex maps a value (instruction id, or −(li+1) for live-in li)
+// to its slot in commOf.
+func (s *state) valueIndex(value int) int {
+	if value >= 0 {
+		return value
+	}
+	return s.sb.N() - value - 1
 }
 
 // priorities computes the list-scheduling priority: the longest
@@ -135,33 +223,18 @@ func priorities(sb *ir.Superblock) []float64 {
 	return prio
 }
 
-// horizon bounds the cycle-driven loop.
-func (s *state) horizon() int {
-	h := 4
-	for _, in := range s.sb.Instrs {
-		h += in.Latency + 2*s.m.BusLatency
-	}
-	return h
-}
-
 func (s *state) run() error {
 	n := s.sb.N()
-	horizon := s.horizon()
 	for t := 0; s.scheduled < n; t++ {
-		if t > horizon {
+		if t > s.horizon {
 			return fmt.Errorf("cars: no progress by cycle %d (scheduled %d/%d)", t, s.scheduled, n)
 		}
 		for {
-			u := s.pickReady(t)
+			u, k := s.pickReady(t)
 			if u < 0 {
 				break
 			}
-			if !s.tryPlace(u, t) {
-				// The best the instruction can do is a later cycle; mark
-				// it deferred for this cycle by moving on. pickReady
-				// skips instructions that cannot issue at t.
-				break
-			}
+			s.place(u, t, k)
 		}
 	}
 	return nil
@@ -169,48 +242,22 @@ func (s *state) run() error {
 
 // pickReady returns the highest-priority unscheduled instruction whose
 // predecessors are all scheduled and which can issue at cycle t in at
-// least one cluster, or −1.
-func (s *state) pickReady(t int) int {
-	best := -1
-	for u := 0; u < s.sb.N(); u++ {
-		if s.out.Place[u].Cycle != sched.Unplaced {
+// least one cluster (ties to the lowest id), with its best cluster; or
+// −1. The ready list is kept in that order, so the first instruction
+// that can issue wins.
+func (s *state) pickReady(t int) (int, int) {
+	for _, u := range s.ready {
+		// The final exit ends the region, so it waits until every other
+		// instruction is scheduled (their completions and copies must
+		// fit before the region end).
+		if u == s.finalExit && s.scheduled != s.sb.N()-1 {
 			continue
 		}
-		if !s.predsDone(u) {
-			continue
-		}
-		if _, ok := s.bestCluster(u, t); !ok {
-			continue
-		}
-		if best < 0 || s.prio[u] > s.prio[best] || (s.prio[u] == s.prio[best] && u < best) {
-			best = u
+		if k, ok := s.bestCluster(u, t); ok {
+			return u, k
 		}
 	}
-	return best
-}
-
-func (s *state) predsDone(u int) bool {
-	for _, ei := range s.sb.InEdges(u) {
-		if s.out.Place[s.sb.Edges[ei].From].Cycle == sched.Unplaced {
-			return false
-		}
-	}
-	// The final exit ends the region, so it waits until every other
-	// instruction is scheduled (their completions and copies must fit
-	// before the region end).
-	exits := s.sb.Exits()
-	if len(exits) > 0 && u == exits[len(exits)-1] {
-		if s.scheduled != s.sb.N()-1 {
-			return false
-		}
-	}
-	return true
-}
-
-// placement describes how instruction u would issue at (t, k): which new
-// communications must be committed first.
-type placement struct {
-	newComms []sched.Comm
+	return -1, -1
 }
 
 // bestCluster evaluates all clusters for issuing u exactly at cycle t
@@ -219,127 +266,100 @@ type placement struct {
 func (s *state) bestCluster(u, t int) (int, bool) {
 	if s.fixed != nil {
 		k := s.fixed[u]
-		if _, ok := s.feasibleAt(u, t, k); ok {
-			return k, true
-		}
-		return -1, false
+		return k, s.feasibleAt(u, t, k)
 	}
 	bestK, bestComms, bestLoad := -1, 0, 0
 	for k := 0; k < s.m.Clusters; k++ {
-		pl, ok := s.feasibleAt(u, t, k)
-		if !ok {
+		if !s.feasibleAt(u, t, k) {
 			continue
 		}
-		load := s.clusterLoad(k)
-		if bestK < 0 || len(pl.newComms) < bestComms ||
-			(len(pl.newComms) == bestComms && load < bestLoad) {
-			bestK, bestComms, bestLoad = k, len(pl.newComms), load
+		comms, load := len(s.pending), s.load[k]
+		if bestK < 0 || comms < bestComms || (comms == bestComms && load < bestLoad) {
+			bestK, bestComms, bestLoad = k, comms, load
 		}
 	}
 	return bestK, bestK >= 0
 }
 
-func (s *state) clusterLoad(k int) int {
-	load := 0
-	for _, p := range s.out.Place {
-		if p.Cycle != sched.Unplaced && p.Cluster == k {
-			load++
-		}
-	}
-	return load
+// fuSlot indexes fuBusy.
+func (s *state) fuSlot(t, k int, class ir.Class) int {
+	return (t*s.m.Clusters+k)*ir.NumClasses + int(class)
 }
 
-// feasibleAt checks whether u can issue at cycle t in cluster k, and
-// which new communications that requires.
-func (s *state) feasibleAt(u, t, k int) (placement, bool) {
+// feasibleAt checks whether u can issue at cycle t in cluster k; on
+// success s.pending holds the new communications that requires.
+func (s *state) feasibleAt(u, t, k int) bool {
 	in := s.sb.Instrs[u]
-	if s.m.ClusterFU(k, in.Class) == 0 {
-		return placement{}, false
+	s.pending = s.pending[:0]
+	units := s.fuCap[k*ir.NumClasses+int(in.Class)]
+	if units == 0 || s.fuBusy[s.fuSlot(t, k, in.Class)] >= units {
+		return false
 	}
-	if s.fuBusy[fuSlot{t, k, in.Class}] >= s.m.ClusterFU(k, in.Class) {
-		return placement{}, false
-	}
-	var pl placement
-	pending := make(map[int]int) // value → tentative comm cycle
 	// Dependences.
 	for _, ei := range s.sb.InEdges(u) {
 		e := s.sb.Edges[ei]
 		p := s.out.Place[e.From]
 		if e.Kind == ir.Ctrl || p.Cluster == k {
 			if t < p.Cycle+e.Latency {
-				return placement{}, false
+				return false
 			}
 			continue
 		}
 		ready := p.Cycle + s.sb.Instrs[e.From].Latency
-		if !s.operandViaBus(e.From, ready, t, pending) {
-			return placement{}, false
+		if !s.operandViaBus(e.From, ready, t) {
+			return false
 		}
 	}
 	// Live-in operands.
-	for li := range s.sb.LiveIns {
-		for _, c := range s.sb.LiveIns[li].Consumers {
-			if c != u {
-				continue
-			}
-			if s.out.Pins.LiveIn[li] == k {
-				continue
-			}
-			if !s.operandViaBus(-(li + 1), 0, t, pending) {
-				return placement{}, false
-			}
+	for _, li := range s.liveIns[u] {
+		if s.out.Pins.LiveIn[li] == k {
+			continue
+		}
+		if !s.operandViaBus(-(li + 1), 0, t) {
+			return false
 		}
 	}
 	// The final exit ends the region at t + λ: every instruction must
 	// have completed and every copy (committed or tentative) arrived.
-	exits := s.sb.Exits()
-	if len(exits) > 0 && u == exits[len(exits)-1] {
+	if u == s.finalExit {
 		end := t + in.Latency
-		for v, q := range s.out.Place {
-			if v != u && q.Cycle != sched.Unplaced && q.Cycle+s.sb.Instrs[v].Latency > end {
-				return placement{}, false
-			}
+		if s.maxDone > end || (s.maxComm >= 0 && s.maxComm+s.m.BusLatency > end) {
+			return false
 		}
-		for _, cc := range s.commOf {
-			if cc+s.m.BusLatency > end {
-				return placement{}, false
-			}
-		}
-		for _, cc := range pending {
-			if cc+s.m.BusLatency > end {
-				return placement{}, false
+		for _, pc := range s.pending {
+			if pc.cycle+s.m.BusLatency > end {
+				return false
 			}
 		}
 		for _, p := range s.sb.LiveOuts {
 			if p == u || !s.needsLiveOutComm(p) {
 				continue
 			}
-			if _, ok := s.commOf[p]; !ok {
-				return placement{}, false // copy not yet committed: wait
+			if s.commOf[p] < 0 {
+				return false // copy not yet committed: wait
 			}
 		}
 	}
-	for v, c := range pending {
-		pl.newComms = append(pl.newComms, sched.Comm{Producer: v, Cycle: c})
-	}
-	return pl, true
+	return true
 }
 
 // operandViaBus checks that the given value can reach a foreign cluster
 // by cycle t, reusing the committed broadcast or tentatively scheduling
 // a new one (earliest bus slot at or after ready, arriving by t).
-func (s *state) operandViaBus(value, ready, t int, pending map[int]int) bool {
-	if c, ok := s.commOf[value]; ok {
+func (s *state) operandViaBus(value, ready, t int) bool {
+	if c := s.commOf[s.valueIndex(value)]; c >= 0 {
 		return c+s.m.BusLatency <= t
 	}
-	if c, ok := pending[value]; ok {
-		return c+s.m.BusLatency <= t
+	for _, pc := range s.pending {
+		if pc.value == value {
+			return pc.cycle+s.m.BusLatency <= t
+		}
 	}
-	slot, ok := s.busSlot(ready, t-s.m.BusLatency, pending)
+	slot, ok := s.busSlot(ready, t-s.m.BusLatency, s.pending)
 	if !ok {
 		return false
 	}
-	pending[value] = slot
+	s.pending = append(s.pending, comm{value, slot})
 	return true
 }
 
@@ -347,11 +367,10 @@ func (s *state) operandViaBus(value, ready, t int, pending map[int]int) bool {
 // must broadcast its value: some pinned home cluster differs from its
 // own.
 func (s *state) needsLiveOutComm(u int) bool {
-	homes, isLive := s.liveHome[u]
-	if !isLive || s.out.Place[u].Cycle == sched.Unplaced {
+	if s.out.Place[u].Cycle == sched.Unplaced {
 		return false
 	}
-	for _, home := range homes {
+	for _, home := range s.liveHome[u] {
 		if home != s.out.Place[u].Cluster {
 			return true
 		}
@@ -360,18 +379,17 @@ func (s *state) needsLiveOutComm(u int) bool {
 }
 
 // busSlot finds the earliest cycle in [from, to] where a bus is free
-// (accounting for occupancy and tentative comms).
-func (s *state) busSlot(from, to int, pending map[int]int) (int, bool) {
+// (accounting for occupancy and the given tentative comms).
+func (s *state) busSlot(from, to int, pending []comm) (int, bool) {
 	if s.m.Buses < 1 {
 		return 0, false
 	}
-	occ := s.m.BusOccupancy()
 	for c := from; c <= to; c++ {
 		free := true
-		for tt := c; tt < c+occ; tt++ {
+		for tt := c; tt < c+s.occ; tt++ {
 			use := s.busBusy[tt]
 			for _, pc := range pending {
-				if tt >= pc && tt < pc+occ {
+				if tt >= pc.cycle && tt < pc.cycle+s.occ {
 					use++
 				}
 			}
@@ -387,42 +405,63 @@ func (s *state) busSlot(from, to int, pending map[int]int) (int, bool) {
 	return 0, false
 }
 
-// tryPlace commits u at cycle t in its best cluster; returns false when
-// no cluster can issue it at t.
-func (s *state) tryPlace(u, t int) bool {
-	k, ok := s.bestCluster(u, t)
-	if !ok {
-		return false
+// commit records the broadcast of value at cycle.
+func (s *state) commit(value, cycle int) {
+	s.out.Comms = append(s.out.Comms, sched.Comm{Producer: value, Cycle: cycle})
+	s.commOf[s.valueIndex(value)] = cycle
+	if cycle > s.maxComm {
+		s.maxComm = cycle
 	}
-	pl, ok := s.feasibleAt(u, t, k)
-	if !ok {
-		return false
+	for tt := cycle; tt < cycle+s.occ; tt++ {
+		s.busBusy[tt]++
 	}
+}
+
+// place commits u at cycle t in cluster k, which bestCluster chose.
+func (s *state) place(u, t, k int) {
+	s.feasibleAt(u, t, k) // refill s.pending for the chosen cluster
 	in := s.sb.Instrs[u]
 	s.out.Place[u] = sched.Placement{Cycle: t, Cluster: k}
-	s.fuBusy[fuSlot{t, k, in.Class}]++
+	s.fuBusy[s.fuSlot(t, k, in.Class)]++
+	s.load[k]++
+	if done := t + in.Latency; done > s.maxDone {
+		s.maxDone = done
+	}
 	s.scheduled++
-	occ := s.m.BusOccupancy()
-	for _, c := range pl.newComms {
-		s.out.Comms = append(s.out.Comms, c)
-		s.commOf[c.Producer] = c.Cycle
-		for tt := c.Cycle; tt < c.Cycle+occ; tt++ {
-			s.busBusy[tt]++
-		}
+	for _, c := range s.pending {
+		s.commit(c.value, c.cycle)
 	}
 	// A live-out produced off its home cluster commits its copy as soon
 	// as the value is ready (keeping the End constraint satisfiable).
-	if s.needsLiveOutComm(u) {
-		if _, done := s.commOf[u]; !done {
-			ready := t + in.Latency
-			if slot, ok := s.busSlot(ready, ready+s.horizon(), nil); ok {
-				s.out.Comms = append(s.out.Comms, sched.Comm{Producer: u, Cycle: slot})
-				s.commOf[u] = slot
-				for tt := slot; tt < slot+occ; tt++ {
-					s.busBusy[tt]++
-				}
-			}
+	if s.needsLiveOutComm(u) && s.commOf[u] < 0 {
+		ready := t + in.Latency
+		if slot, ok := s.busSlot(ready, ready+s.horizon, nil); ok {
+			s.commit(u, slot)
 		}
 	}
-	return true
+	s.unready(u)
+	for _, ei := range s.sb.OutEdges(u) {
+		v := s.sb.Edges[ei].To
+		if s.predsLeft[v]--; s.predsLeft[v] == 0 {
+			s.makeReady(v)
+		}
+	}
+}
+
+// makeReady inserts v into the ready list at its rank.
+func (s *state) makeReady(v int) {
+	i := sort.Search(len(s.ready), func(i int) bool { return s.rank[s.ready[i]] > s.rank[v] })
+	s.ready = append(s.ready, 0)
+	copy(s.ready[i+1:], s.ready[i:])
+	s.ready[i] = v
+}
+
+// unready removes the just-scheduled u from the ready list.
+func (s *state) unready(u int) {
+	for i, v := range s.ready {
+		if v == u {
+			s.ready = append(s.ready[:i], s.ready[i+1:]...)
+			return
+		}
+	}
 }

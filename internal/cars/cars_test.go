@@ -169,3 +169,13 @@ func randomPins(rng *rand.Rand, sb *ir.Superblock, clusters int) sched.Pins {
 	}
 	return p
 }
+
+func TestScheduleFixedRejectsBadCluster(t *testing.T) {
+	sb := ir.Diamond()
+	m := machine.TwoCluster1Lat()
+	assign := make([]int, sb.N())
+	assign[sb.N()-1] = m.Clusters
+	if _, err := ScheduleFixed(sb, m, sched.Pins{}, assign); err == nil {
+		t.Fatal("assignment to a cluster the machine lacks accepted")
+	}
+}
