@@ -283,21 +283,21 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 		opts.MaxSteps = n
 	}
 	start := time.Now()
-	s := newScheduler(sb, m, opts)
-	defer func() { stats.Learn = s.learnStats() }()
+	var deadline time.Time
 	if opts.Timeout > 0 {
-		s.deadline = start.Add(opts.Timeout)
-		// The deadline must also interrupt long propagation runs deep
-		// inside the DP, not just stage boundaries.
-		if s.budget == nil {
-			s.budget = deduce.NewBudget(0)
-		}
-		s.budget.SetDeadline(s.deadline)
+		deadline = start.Add(opts.Timeout)
 	}
+	s, err := buildScheduler(sb, m, opts, deadline)
+	if err != nil {
+		stats.Elapsed = time.Since(start)
+		return nil, stats, err
+	}
+	defer func() { stats.Learn = s.learnStats() }()
 
 	ests, err := s.safeExitEsts()
 	if err != nil {
 		stats.Elapsed = time.Since(start)
+		stats.StepsSpent = s.stepsSpent()
 		return nil, stats, s.mapErr(err)
 	}
 	stats.MinAWCT = s.awctOf(ests)
@@ -324,6 +324,7 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 		for v := 0; v < opts.Retries; v++ {
 			if err := s.checkTime(); err != nil {
 				stats.Elapsed = time.Since(start)
+				stats.StepsSpent = s.stepsSpent()
 				return nil, stats, err
 			}
 			s.variant = opts.VariantOffset + v
@@ -374,20 +375,35 @@ func (s *scheduler) exhaustErr() error {
 	return fmt.Errorf("%w: no schedule within %d AWCT values", ErrExhausted, s.opts.MaxAWCTIters)
 }
 
-// newScheduler precomputes the immutable search context. tail[u] is the
-// longest "completion tail" hanging off u — the largest d(u,n) + λ(n)
-// over all reachable nodes n; everything must complete by the region
-// end, so any exit-deadline vector must keep deadline(u) + tail(u) ≤
-// deadline(last) + λ(last).
+// newScheduler precomputes the immutable search context with no
+// deadline. tail[u] is the longest "completion tail" hanging off u —
+// the largest d(u,n) + λ(n) over all reachable nodes n; everything must
+// complete by the region end, so any exit-deadline vector must keep
+// deadline(u) + tail(u) ≤ deadline(last) + λ(last).
 func newScheduler(sb *ir.Superblock, m *machine.Config, opts Options) *scheduler {
+	s, _ := buildScheduler(sb, m, opts, time.Time{})
+	return s
+}
+
+// buildScheduler is newScheduler under a wall-clock deadline (zero =
+// none). The scheduling graph's construction is quadratic in the block
+// size and runs before any stage polls the clock, so it checks the
+// deadline itself; an expired deadline is ErrTimeout.
+func buildScheduler(sb *ir.Superblock, m *machine.Config, opts Options, deadline time.Time) (*scheduler, error) {
 	opts = opts.withDefaults()
+	dist := sb.LongestDist()
+	g, err := sg.BuildUntil(sb, m, dist, deadline)
+	if err != nil {
+		return nil, ErrTimeout
+	}
 	s := &scheduler{
-		sb:    sb,
-		m:     m,
-		g:     sg.Build(sb, m),
-		opts:  opts,
-		dist:  sb.LongestDist(),
-		arena: deduce.NewArena(),
+		sb:       sb,
+		m:        m,
+		g:        g,
+		opts:     opts,
+		deadline: deadline,
+		dist:     dist,
+		arena:    deduce.NewArena(),
 	}
 	s.tail = make([]int, sb.N())
 	for u := 0; u < sb.N(); u++ {
@@ -402,10 +418,18 @@ func newScheduler(sb *ir.Superblock, m *machine.Config, opts Options) *scheduler
 	if opts.MaxSteps > 0 {
 		s.budget = deduce.NewBudget(opts.MaxSteps)
 	}
+	if !deadline.IsZero() {
+		// The deadline must also interrupt long propagation runs deep
+		// inside the DP, not just stage boundaries.
+		if s.budget == nil {
+			s.budget = deduce.NewBudget(0)
+		}
+		s.budget.SetDeadline(deadline)
+	}
 	if opts.Learn != LearnOff {
 		s.learn = nogood.NewStore(nogood.DefaultCaps())
 	}
-	return s
+	return s, nil
 }
 
 // mapErr translates internal abort signals into the package's public

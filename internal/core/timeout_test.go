@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcsched/internal/faultpoint"
+	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 	"vcsched/internal/workload"
 )
@@ -108,5 +109,59 @@ func TestInjectedStarvationIdenticalSerialParallel(t *testing.T) {
 		if a.AWCTIndex != b.AWCTIndex || a.Variant != b.Variant || a.Outcome != b.Outcome {
 			t.Errorf("attempt %d differs: serial %+v vs parallel %+v", i, a, b)
 		}
+	}
+}
+
+// A search whose step budget dies in the min-AWCT probe, before any
+// attempt launches, still reports the steps it spent.
+func TestStepsSpentReportedWhenProbeExhausts(t *testing.T) {
+	sb := largestWorkloadBlock(t)
+	m := machine.TwoCluster1Lat()
+	_, stats, err := Schedule(sb, m, Options{Pins: workload.PinsFor(sb, m.Clusters, 1), MaxSteps: 10})
+	if !errors.Is(err, ErrExhausted) {
+		t.Fatalf("err = %v, want ErrExhausted", err)
+	}
+	if stats.AttemptsLaunched != 0 {
+		t.Fatalf("%d attempts launched; the budget must die in the min-AWCT probe", stats.AttemptsLaunched)
+	}
+	if stats.StepsSpent <= 0 {
+		t.Fatalf("StepsSpent = %d, want > 0", stats.StepsSpent)
+	}
+}
+
+// strideBlock is a straight-line block of n integer instructions where
+// instruction i consumes instruction i−8, ending in one exit. Its
+// scheduling graph has nearly every pair as an edge, so construction
+// is quadratic.
+func strideBlock(n int) *ir.Superblock {
+	b := ir.NewBuilder("stride")
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = b.Instr("", ir.Int, 1)
+		if i >= 8 {
+			b.Data(ids[i-8], ids[i])
+		}
+	}
+	x := b.Exit("x", 1, 1.0)
+	for _, u := range ids[n-8:] {
+		b.Data(u, x)
+	}
+	return b.MustFinish()
+}
+
+// A deadline interrupts scheduling-graph construction: on a block whose
+// graph alone takes seconds to build, a 50 ms timeout ends the call
+// promptly with ErrTimeout.
+func TestTimeoutInterruptsGraphConstruction(t *testing.T) {
+	sb := strideBlock(1600)
+	m := machine.FourCluster2Lat()
+	start := time.Now()
+	_, _, err := Schedule(sb, m, Options{Timeout: 50 * time.Millisecond})
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if limit := time.Second; elapsed > limit && !raceEnabled {
+		t.Fatalf("ErrTimeout after %v, want under %v", elapsed, limit)
 	}
 }

@@ -4,7 +4,8 @@
 //	tier 1  full SG scheduler (core.Schedule, exactly as configured);
 //	tier 2  SG retries with perturbed decision orders (VariantOffset)
 //	        and geometrically decayed step budget and timeout, taken
-//	        only when tier 1 died of exhaustion or timeout;
+//	        only when tier 1 died of exhaustion or timeout, and only
+//	        while the request deadline has time left;
 //	tier 3  the CARS list scheduler (the paper's own fallback beyond
 //	        its thresholds);
 //	tier 4  a naive single-home serialization that cannot fail for any
@@ -17,6 +18,14 @@
 // a portfolio worker pool. The Outcome record says which tier
 // produced the schedule, what every earlier attempt died of, and how
 // long each took.
+//
+// A positive Core.Timeout fixes one absolute deadline for the whole
+// ladder, measured from the call: each retry runs with the smaller of
+// its decayed timeout and the time left, and once none is left tier 2
+// is skipped. The CARS and naive rungs always run — they are the
+// guaranteed answer — so a block's total time is bounded by the
+// timeout plus those rungs (plus how far the SG search overruns its
+// deadline between clock checks).
 //
 // With no faults injected and a healthy scheduler, tier 1 succeeds
 // and the pipeline's output is bit-identical to calling core.Schedule
@@ -115,12 +124,19 @@ type Outcome struct {
 	Elapsed  time.Duration
 	Attempts []TierAttempt
 	SGStats  *core.Stats // stats of the accepted SG run (tiers 1–2), else nil
+	// DeadlineCut reports that the request deadline passed before a
+	// tier-2 retry could start: the outcome is shaped by the wall clock
+	// even when no attempt died of a timeout.
+	DeadlineCut bool
 }
 
 // String renders a one-line report: tier, AWCT, attempts.
 func (o *Outcome) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: tier=%s awct=%.3f retries=%d elapsed=%v", o.Block, o.Tier, o.AWCT, o.Retries, o.Elapsed.Round(time.Microsecond))
+	if o.DeadlineCut {
+		b.WriteString(" deadline-cut")
+	}
 	if o.SGStats != nil {
 		ln := o.SGStats.Learn
 		if ln != (core.LearnStats{}) {
@@ -143,6 +159,10 @@ func (o *Outcome) String() string {
 func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedule, *Outcome, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
+	var deadline time.Time
+	if opts.Core.Timeout > 0 {
+		deadline = start.Add(opts.Core.Timeout)
+	}
 	out := &Outcome{Block: sb.Name, Tier: TierNone}
 
 	accept := func(tier Tier, s *sched.Schedule, stats *core.Stats) (*sched.Schedule, *Outcome, error) {
@@ -202,8 +222,8 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 	}
 
 	// Tier 2: perturbed orders, decayed budget — only when the search
-	// gave out (exhaustion/timeout); contradictory or internally broken
-	// runs go straight to CARS.
+	// gave out (exhaustion/timeout) and the deadline has time left;
+	// contradictory or internally broken runs go straight to CARS.
 	if retryable() {
 		baseRetries := opts.Core.Retries
 		if baseRetries == 0 {
@@ -226,9 +246,15 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 				c.MaxSteps = steps
 			}
 			if c.Timeout > 0 {
+				left := time.Until(deadline)
+				if left <= 0 {
+					out.DeadlineCut = true
+					break // straight to CARS
+				}
 				if c.Timeout = time.Duration(float64(c.Timeout) * decay); c.Timeout < time.Millisecond {
 					c.Timeout = time.Millisecond
 				}
+				c.Timeout = min(c.Timeout, left)
 			}
 			out.Retries++
 			var rStats core.Stats

@@ -26,7 +26,10 @@ import (
 // Contract:
 //
 //   - remaining is the request's outstanding wall-clock budget when the
-//     worker picked it up; a Runner must not compute past it.
+//     worker picked it up; a Runner must not search past it. The one
+//     exception is the ladder's guaranteed answer: once the deadline
+//     has passed, the production Runner still runs the CARS rung (and
+//     the naive rung if CARS fails), which may finish past remaining.
 //   - The returned Result must be deterministic per fingerprint for
 //     every outcome that reports cacheable == true: a cache hit replays
 //     those exact bytes, so warm must equal cold.
@@ -94,10 +97,14 @@ func (l ladderRunner) Run(req *Request, fp string, remaining time.Duration) (Res
 	return res, !timeoutShaped(out)
 }
 
-// timeoutShaped reports whether any ladder attempt died of the wall
-// clock. Deterministic demotions (exhaustion, contradictions, panics)
-// replay identically on a cold re-run; a timeout does not.
+// timeoutShaped reports whether the wall clock shaped the ladder's
+// descent: an attempt died of a timeout, or the deadline cut tier 2
+// short. Deterministic demotions (exhaustion, contradictions, panics)
+// replay identically on a cold re-run; neither of those does.
 func timeoutShaped(out *resilient.Outcome) bool {
+	if out.DeadlineCut {
+		return true
+	}
 	for _, a := range out.Attempts {
 		if a.Err != "" && strings.Contains(a.Err, core.ErrTimeout.Error()) {
 			return true

@@ -317,3 +317,53 @@ func TestStatsSnapshotIsDeterministic(t *testing.T) {
 		t.Fatal("stats carry no version")
 	}
 }
+
+// A result whose ladder descent was shaped by the deadline (tier 1
+// timed out, tier 2 was cut) must not be cached: the same request with
+// time to spare recomputes and returns the cold reference bytes.
+func TestDeadlineShapedResultNotCached(t *testing.T) {
+	faultpoint.Reset()
+	t.Cleanup(faultpoint.Reset)
+	s := newTestService(t, Config{Workers: 1, DefaultDeadline: 20 * time.Second})
+	req := testRequest(ir.Diamond(), 1)
+	want, _, wantTier := directLadder(t, req.SB, req.Machine, req.PinSeed, req.Core)
+
+	// Every stage stalls past the request's deadline.
+	faultpoint.Arm("core.stage", faultpoint.Fault{Kind: faultpoint.KindSleep, N: 100})
+	hurried := *req
+	hurried.Deadline = 100 * time.Millisecond
+	shaped := s.Submit(&hurried)
+	faultpoint.Reset()
+	if !shaped.OK() || shaped.Tier != resilient.TierCARS.String() {
+		t.Fatalf("deadline-shaped submit = %+v, want a CARS answer", shaped)
+	}
+
+	cold := s.Submit(req)
+	if !cold.OK() || cold.CacheHit || cold.Coalesced {
+		t.Fatalf("submit after a deadline-shaped result = %+v, want a fresh computation", cold)
+	}
+	if cold.Schedule != want || cold.Tier != wantTier {
+		t.Fatalf("recomputed result (tier %s) differs from the cold reference (tier %s)", cold.Tier, wantTier)
+	}
+	warm := s.Submit(req)
+	if !warm.CacheHit || warm.Schedule != want {
+		t.Fatalf("warm after recompute = %+v", warm)
+	}
+}
+
+// Tier 2 cut short by the deadline shapes the outcome even when no
+// attempt died of a timeout.
+func TestDeadlineCutIsTimeoutShaped(t *testing.T) {
+	out := &resilient.Outcome{
+		Tier:        resilient.TierCARS,
+		Attempts:    []resilient.TierAttempt{{Tier: resilient.TierSG, Err: core.ErrExhausted.Error()}, {Tier: resilient.TierCARS}},
+		DeadlineCut: true,
+	}
+	if !timeoutShaped(out) {
+		t.Fatal("an outcome whose retries the deadline cut is reported cacheable")
+	}
+	out.DeadlineCut = false
+	if timeoutShaped(out) {
+		t.Fatal("an exhaustion-only descent is reported as shaped by the clock")
+	}
+}

@@ -19,9 +19,11 @@
 package sg
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
@@ -52,6 +54,10 @@ type Graph struct {
 	index map[Pair]int
 }
 
+// ErrDeadline is returned by BuildUntil when the deadline passes before
+// the graph is complete.
+var ErrDeadline = errors.New("sg: deadline passed during construction")
+
 // Build computes the scheduling graph. Feasibility per combination:
 //
 //   - Dependences: the longest-path distance d(u,v) forces
@@ -61,10 +67,22 @@ type Graph struct {
 //     (comb = 0) when the machine has a single unit of that class in
 //     total — the paper's "a single branch per cycle" example.
 func Build(sb *ir.Superblock, m *machine.Config) *Graph {
+	g, _ := BuildUntil(sb, m, sb.LongestDist(), time.Time{})
+	return g
+}
+
+// BuildUntil is Build over precomputed longest-path distances
+// (sb.LongestDist()) under a wall-clock deadline: construction is
+// quadratic in the block size, so the clock is checked once per row of
+// pairs and ErrDeadline returned once the deadline has passed. A zero
+// deadline never expires.
+func BuildUntil(sb *ir.Superblock, m *machine.Config, dist [][]int, deadline time.Time) (*Graph, error) {
 	g := &Graph{SB: sb, index: make(map[Pair]int)}
-	dist := sb.LongestDist()
 	n := sb.N()
 	for u := 0; u < n; u++ {
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return nil, ErrDeadline
+		}
 		for v := u + 1; v < n; v++ {
 			combs := combsFor(sb.Instrs[u], sb.Instrs[v], dist[u][v], dist[v][u], m)
 			if len(combs) == 0 {
@@ -74,7 +92,7 @@ func Build(sb *ir.Superblock, m *machine.Config) *Graph {
 			g.Edges = append(g.Edges, Edge{Pair: Pair{u, v}, Combs: combs})
 		}
 	}
-	return g
+	return g, nil
 }
 
 func combsFor(iu, iv ir.Instr, distUV, distVU int, m *machine.Config) []int {
