@@ -6,7 +6,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 GO_LDFLAGS := -ldflags '-X vcsched/internal/version.Version=$(VERSION)'
 
-.PHONY: check build vet test race learn bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo slo-short slo-gate chaos
+.PHONY: check build vet test race learn bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo slo-short slo-gate chaos ledger
 
 # check is the tier-1 gate (see ROADMAP.md): vet, build, the full test
 # suite under the race detector, the fault-injection and
@@ -62,6 +62,14 @@ bench-short:
 
 bench-gate:
 	$(GO) run $(GO_LDFLAGS) ./cmd/benchgate -baseline BENCH_baseline.json -current BENCH_deduce.json
+
+# ledger runs one measurement of the performance ledger (perfbench/,
+# workloads and metrics declared in BENCHMARK.json) and prints its
+# provenance and result lines: `make ledger W=oversized SEED=12`.
+W ?= corpus
+SEED ?= 1
+ledger:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds 30 --trace 0
 
 # bench-figures runs the paper-figure reproduction benchmarks at the
 # repository root (the pre-existing `bench` target).

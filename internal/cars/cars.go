@@ -174,13 +174,14 @@ func newState(sb *ir.Superblock, m *machine.Config, pins sched.Pins, fixed []int
 		s.rank[u] = r
 	}
 	s.predsLeft = make([]int, n)
-	for u := 0; u < n; u++ {
+	for u := range s.predsLeft {
 		s.predsLeft[u] = len(sb.InEdges(u))
+	}
+	for _, u := range byPrio {
 		if s.predsLeft[u] == 0 {
 			s.ready = append(s.ready, u)
 		}
 	}
-	sort.Slice(s.ready, func(i, j int) bool { return s.rank[s.ready[i]] < s.rank[s.ready[j]] })
 	return s
 }
 

@@ -287,7 +287,7 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	if opts.Timeout > 0 {
 		deadline = start.Add(opts.Timeout)
 	}
-	s, err := buildScheduler(sb, m, opts, deadline)
+	s, err := newScheduler(sb, m, opts, deadline)
 	if err != nil {
 		stats.Elapsed = time.Since(start)
 		return nil, stats, err
@@ -375,21 +375,17 @@ func (s *scheduler) exhaustErr() error {
 	return fmt.Errorf("%w: no schedule within %d AWCT values", ErrExhausted, s.opts.MaxAWCTIters)
 }
 
-// newScheduler precomputes the immutable search context with no
-// deadline. tail[u] is the longest "completion tail" hanging off u —
-// the largest d(u,n) + λ(n) over all reachable nodes n; everything must
-// complete by the region end, so any exit-deadline vector must keep
-// deadline(u) + tail(u) ≤ deadline(last) + λ(last).
-func newScheduler(sb *ir.Superblock, m *machine.Config, opts Options) *scheduler {
-	s, _ := buildScheduler(sb, m, opts, time.Time{})
-	return s
-}
-
-// buildScheduler is newScheduler under a wall-clock deadline (zero =
-// none). The scheduling graph's construction is quadratic in the block
-// size and runs before any stage polls the clock, so it checks the
-// deadline itself; an expired deadline is ErrTimeout.
-func buildScheduler(sb *ir.Superblock, m *machine.Config, opts Options, deadline time.Time) (*scheduler, error) {
+// newScheduler precomputes the immutable search context. tail[u] is the
+// longest "completion tail" hanging off u — the largest d(u,n) + λ(n)
+// over all reachable nodes n; everything must complete by the region
+// end, so any exit-deadline vector must keep deadline(u) + tail(u) ≤
+// deadline(last) + λ(last).
+//
+// A non-zero deadline bounds the construction too: the scheduling
+// graph is quadratic in the block size and is built before any stage
+// polls the clock, so its construction checks the deadline itself; an
+// expired deadline is ErrTimeout.
+func newScheduler(sb *ir.Superblock, m *machine.Config, opts Options, deadline time.Time) (*scheduler, error) {
 	opts = opts.withDefaults()
 	dist := sb.LongestDist()
 	g, err := sg.BuildUntil(sb, m, dist, deadline)

@@ -44,7 +44,7 @@ func TestRotateAndReverse(t *testing.T) {
 func TestBumpRule(t *testing.T) {
 	// Figure 1: exits B0 (prob 0.3) and B1 (prob 0.7), dist(B0,B1) = 1.
 	sb := ir.PaperFigure1()
-	s := newScheduler(sb, machine.PaperExampleSection5(), Options{})
+	s, _ := newScheduler(sb, machine.PaperExampleSection5(), Options{}, time.Time{})
 	// From (4,7): B0 can move (5+1 ≤ 7) and has the lower probability.
 	got := s.bump([]int{4, 7})
 	if !reflect.DeepEqual(got, []int{5, 7}) {
@@ -67,7 +67,7 @@ func TestBumpRule(t *testing.T) {
 func TestEnhancedExitEstsMatchPaper(t *testing.T) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
-	s := newScheduler(sb, m, Options{})
+	s, _ := newScheduler(sb, m, Options{}, time.Time{})
 	ests, err := s.enhancedExitEsts()
 	if err != nil {
 		t.Fatal(err)

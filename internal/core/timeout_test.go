@@ -19,12 +19,12 @@ func TestExhaustVerdictHonorsExpiredDeadline(t *testing.T) {
 	sb := largestWorkloadBlock(t)
 	m := machine.TwoCluster1Lat()
 
-	s := newScheduler(sb, m, Options{})
+	s, _ := newScheduler(sb, m, Options{}, time.Time{})
 	if err := s.exhaustErr(); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("no deadline: err = %v, want ErrExhausted", err)
 	}
 
-	s = newScheduler(sb, m, Options{})
+	s, _ = newScheduler(sb, m, Options{}, time.Time{})
 	s.deadline = time.Now().Add(-time.Second)
 	if err := s.exhaustErr(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("expired deadline: err = %v, want ErrTimeout", err)

@@ -82,13 +82,15 @@ func (t Tier) String() string {
 // Options configures the pipeline.
 type Options struct {
 	// Core is handed to the SG scheduler unchanged for tier 1; tier-2
-	// retries derive decayed copies from it.
+	// retries derive decayed copies from it. A positive Core.Timeout is
+	// also the deadline of the whole ladder (see Schedule).
 	Core core.Options
 	// Retries is the number of tier-2 attempts (0 = default 2; < 0
 	// disables tier 2).
 	Retries int
 	// Decay multiplies the step budget and timeout per tier-2 attempt
-	// (0 = default 0.5; clamped to (0,1]).
+	// (0 = default 0.5; clamped to (0,1]); the decayed timeout is then
+	// capped to the time left until the ladder's deadline.
 	Decay float64
 }
 

@@ -1,10 +1,12 @@
 package sg
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
@@ -223,5 +225,22 @@ func TestNeighbors(t *testing.T) {
 func TestMakePair(t *testing.T) {
 	if MakePair(5, 2) != (Pair{2, 5}) {
 		t.Error("MakePair does not normalize")
+	}
+}
+
+// BuildUntil with time left builds the same graph as Build; with the
+// deadline passed it stops with ErrDeadline.
+func TestBuildUntilDeadline(t *testing.T) {
+	sb := ir.PaperFigure1()
+	m := machine.PaperExampleSG()
+	g, err := BuildUntil(sb, m, sb.LongestDist(), time.Now().Add(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Build(sb, m); g.String() != want.String() {
+		t.Fatalf("BuildUntil graph differs from Build:\n%s\nwant\n%s", g, want)
+	}
+	if _, err := BuildUntil(sb, m, sb.LongestDist(), time.Now().Add(-time.Second)); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("expired deadline: err = %v, want ErrDeadline", err)
 	}
 }
