@@ -100,19 +100,15 @@ type state struct {
 	liveHome  [][]int // live-out producer → pinned cluster(s)
 	load      []int   // cluster → instructions placed there
 
-	predsLeft []int  // instruction → in-edges from unscheduled producers
-	rank      []int  // instruction → position in (priority desc, id asc) order
-	ready     []int  // unscheduled instructions with every producer scheduled, by rank
-	pending   []comm // tentative communications of the current feasibleAt
+	predsLeft []int        // instruction → in-edges from unscheduled producers
+	rank      []int        // instruction → position in (priority desc, id asc) order
+	ready     []int        // unscheduled instructions with every producer scheduled, by rank
+	pending   []sched.Comm // tentative communications of the current feasibleAt
 
 	maxDone   int // latest completion cycle of any scheduled instruction
 	maxComm   int // latest committed communication cycle, or −1
 	scheduled int
 }
-
-// comm is one tentative broadcast: value (instruction id, or −(li+1)
-// for live-in li) at cycle.
-type comm struct{ value, cycle int }
 
 func newState(sb *ir.Superblock, m *machine.Config, pins sched.Pins, fixed []int) *state {
 	n := sb.N()
@@ -328,7 +324,7 @@ func (s *state) feasibleAt(u, t, k int) bool {
 			return false
 		}
 		for _, pc := range s.pending {
-			if pc.cycle+s.m.BusLatency > end {
+			if pc.Cycle+s.m.BusLatency > end {
 				return false
 			}
 		}
@@ -352,15 +348,15 @@ func (s *state) operandViaBus(value, ready, t int) bool {
 		return c+s.m.BusLatency <= t
 	}
 	for _, pc := range s.pending {
-		if pc.value == value {
-			return pc.cycle+s.m.BusLatency <= t
+		if pc.Producer == value {
+			return pc.Cycle+s.m.BusLatency <= t
 		}
 	}
 	slot, ok := s.busSlot(ready, t-s.m.BusLatency, s.pending)
 	if !ok {
 		return false
 	}
-	s.pending = append(s.pending, comm{value, slot})
+	s.pending = append(s.pending, sched.Comm{Producer: value, Cycle: slot})
 	return true
 }
 
@@ -381,7 +377,7 @@ func (s *state) needsLiveOutComm(u int) bool {
 
 // busSlot finds the earliest cycle in [from, to] where a bus is free
 // (accounting for occupancy and the given tentative comms).
-func (s *state) busSlot(from, to int, pending []comm) (int, bool) {
+func (s *state) busSlot(from, to int, pending []sched.Comm) (int, bool) {
 	if s.m.Buses < 1 {
 		return 0, false
 	}
@@ -390,7 +386,7 @@ func (s *state) busSlot(from, to int, pending []comm) (int, bool) {
 		for tt := c; tt < c+s.occ; tt++ {
 			use := s.busBusy[tt]
 			for _, pc := range pending {
-				if tt >= pc.cycle && tt < pc.cycle+s.occ {
+				if tt >= pc.Cycle && tt < pc.Cycle+s.occ {
 					use++
 				}
 			}
@@ -430,7 +426,7 @@ func (s *state) place(u, t, k int) {
 	}
 	s.scheduled++
 	for _, c := range s.pending {
-		s.commit(c.value, c.cycle)
+		s.commit(c.Producer, c.Cycle)
 	}
 	// A live-out produced off its home cluster commits its copy as soon
 	// as the value is ready (keeping the End constraint satisfiable).
