@@ -36,6 +36,8 @@ type Arena struct {
 	comms     []commRec
 	commIdx   []int32
 	plcs      []plcRec
+	nodeDirty []uint64
+	pairDirty []uint64
 
 	cc *graphutil.OffsetUF
 	vc *vcg.Graph
@@ -64,8 +66,12 @@ type Arena struct {
 	ivs          []interval
 	los          []int
 	his          []int
+	insideHi     []int
 	byClass      [ir.NumClasses][]int
 	plcAlts      []int
+	u3Root       []int32
+	u3Off        []int
+	openKeys     []int64
 
 	// Metrics scratch.
 	repSeen    []bool
@@ -161,6 +167,13 @@ type sgIndex struct {
 	// data-edge producers first (edge order), then live-in encodings.
 	consStart []int32
 	consVals  []int
+
+	// pairStart/pairsOf form a CSR of node→pair incidence: the dense
+	// indices of the pairs touching instruction u are
+	// pairsOf[pairStart[u]:pairStart[u+1]], ascending. Rule U2/D1 uses
+	// it to turn bound moves into pair marks (dirty.go).
+	pairStart []int32
+	pairsOf   []int32
 }
 
 func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
@@ -192,6 +205,22 @@ func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
 			}
 		}
 		idx.consStart[c+1] = int32(len(idx.consVals))
+	}
+	idx.pairStart = make([]int32, n+1)
+	for _, e := range g.Edges {
+		idx.pairStart[e.U+1]++
+		idx.pairStart[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		idx.pairStart[u+1] += idx.pairStart[u]
+	}
+	idx.pairsOf = make([]int32, idx.pairStart[n])
+	cursor := append([]int32(nil), idx.pairStart[:n]...)
+	for ei, e := range g.Edges {
+		idx.pairsOf[cursor[e.U]] = int32(ei)
+		cursor[e.U]++
+		idx.pairsOf[cursor[e.V]] = int32(ei)
+		cursor[e.V]++
 	}
 	return idx
 }

@@ -23,7 +23,8 @@ type pairRec struct {
 }
 
 // setCombWord assigns one word of the combination bitsets, recording
-// the old value on the trail. gw is the global word index.
+// the old value on the trail and marking the pair for U2/D1. gw is the
+// global word index.
 func (st *State) setCombWord(gw int, nw uint64) {
 	old := st.combWords[gw]
 	if old == nw {
@@ -33,6 +34,7 @@ func (st *State) setCombWord(gw int, nw uint64) {
 		st.tr.entries = append(st.tr.entries, trailEntry{kind: tCombWord, a: gw, w: old})
 	}
 	st.combWords[gw] = nw
+	st.markPair(gw / st.idx.combW)
 }
 
 // combHas reports whether combination c remains in pair i's set.

@@ -2,6 +2,7 @@ package deduce
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"vcsched/internal/sched"
@@ -205,16 +206,24 @@ func (st *State) OutEdges() (map[[2]int]int, error) { return st.outEdgePairs() }
 // OpenPairs returns the indices of pairs still Open, sorted by
 // combination slack (fewest realizable placements first) — the paper's
 // most-constraining-first candidate order for stages 1 and 5.
+// Each pair's slack is computed once; sorting (slack, index) keys
+// orders equal slacks by index, as a stable sort by slack would.
 func (st *State) OpenPairs() []int {
-	var idx []int
+	keys := st.ar.openKeys[:0]
 	for i := range st.pairs {
 		if st.pairs[i].status == Open {
-			idx = append(idx, i)
+			keys = append(keys, int64(st.pairSlack(i))<<32|int64(i))
 		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return st.pairSlack(idx[a]) < st.pairSlack(idx[b])
-	})
+	st.ar.openKeys = keys
+	if len(keys) == 0 {
+		return nil
+	}
+	slices.Sort(keys)
+	idx := make([]int, len(keys))
+	for k, key := range keys {
+		idx[k] = int(key & (1<<32 - 1))
+	}
 	return idx
 }
 

@@ -1,6 +1,7 @@
 package deduce
 
 import (
+	"math/bits"
 	"slices"
 
 	"vcsched/internal/ir"
@@ -179,18 +180,29 @@ func (st *State) ccBounds() (bool, error) {
 // through transitive component merges (rule U3): the implied combination
 // is auto-chosen if still available, the pair is dropped if the offset
 // precludes overlap, and a discarded-but-implied combination is a
-// contradiction.
+// contradiction. After a complete scan no Open pair lies inside one
+// component, so the scan is skipped until the union-find's version
+// moves or a pair's status is undone (dirty.go).
 func (st *State) ruleCCCoherence() (bool, error) {
+	ver := st.cc.Version()
+	if st.u3Ver == ver {
+		return false, nil
+	}
+	// The scan never changes the union-find: find each node's root and
+	// offset once, then compare roots per pair.
+	root := claim(&st.ar.u3Root, st.nOrig, st.nOrig)
+	off := claim(&st.ar.u3Off, st.nOrig, st.nOrig)
+	for node := 0; node < st.nOrig; node++ {
+		r, o := st.cc.Find(node)
+		root[node], off[node] = int32(r), o
+	}
 	changed := false
 	for i := range st.pairs {
 		p := &st.pairs[i]
-		if p.status != Open {
+		if p.status != Open || root[p.u] != root[p.v] {
 			continue
 		}
-		delta, same := st.cc.Delta(int(p.u), int(p.v))
-		if !same {
-			continue
-		}
+		delta := off[p.u] - off[p.v]
 		lo, hi := sg.CombRange(st.lat[p.u], st.lat[p.v])
 		if delta < lo || delta > hi {
 			st.trailPair(i)
@@ -208,6 +220,7 @@ func (st *State) ruleCCCoherence() (bool, error) {
 		st.combSetOnly(i, delta)
 		changed = true
 	}
+	st.u3Ver = ver
 	return changed, nil
 }
 
@@ -216,44 +229,60 @@ func (st *State) ruleCCCoherence() (bool, error) {
 // feasibility is a contiguous offset range, so the discard is one AND
 // per bitset word (combPruneWindow); if the pair is forced to overlap,
 // a single surviving combination is mandatory (chosen), and zero
-// surviving combinations contradict.
+// surviving combinations contradict. Only marked pairs are visited, in
+// index order (dirty.go); a visit changes nothing but its own pair and
+// a second visit would find nothing, so its mark is cleared after it.
 func (st *State) rulePrunePairs() (bool, error) {
+	st.expandNodeMarks()
 	changed := false
-	for i := range st.pairs {
-		p := &st.pairs[i]
-		if p.status == Dropped {
-			if st.mustOverlap(int(p.u), int(p.v)) {
-				return changed, contraf("pair (%d,%d) dropped but forced to overlap", p.u, p.v)
-			}
-			continue
-		}
-		if st.combPruneWindow(i) > 0 {
-			changed = true
-		}
-		n := st.combCount(i)
-		if p.status == Chosen {
-			if n == 0 {
-				return changed, contraf("pair (%d,%d): chosen combination %d became infeasible", p.u, p.v, p.comb)
-			}
-			continue
-		}
-		if n == 0 {
-			st.trailPair(i)
-			p.status = Dropped
-			changed = true
-			if st.mustOverlap(int(p.u), int(p.v)) {
-				return changed, contraf("pair (%d,%d): no combination left but overlap forced", p.u, p.v)
-			}
-			continue
-		}
-		if n == 1 && st.mustOverlap(int(p.u), int(p.v)) {
-			// D1: mandatory choice.
-			c, _ := st.combFirst(i)
-			if err := st.commitComb(i, c); err != nil {
+	for w, word := range st.pairDirty {
+		for word != 0 {
+			bit := word & -word
+			word &^= bit
+			i := w<<6 + bits.TrailingZeros64(bit)
+			ch, err := st.prunePair(i)
+			if err != nil {
 				return changed, err
 			}
-			changed = true
+			changed = changed || ch
+			st.pairDirty[w] &^= bit
 		}
+	}
+	return changed, nil
+}
+
+// prunePair applies U2/D1 to pair i.
+func (st *State) prunePair(i int) (bool, error) {
+	p := &st.pairs[i]
+	if p.status == Dropped {
+		if st.mustOverlap(int(p.u), int(p.v)) {
+			return false, contraf("pair (%d,%d) dropped but forced to overlap", p.u, p.v)
+		}
+		return false, nil
+	}
+	changed := st.combPruneWindow(i) > 0
+	n := st.combCount(i)
+	if p.status == Chosen {
+		if n == 0 {
+			return changed, contraf("pair (%d,%d): chosen combination %d became infeasible", p.u, p.v, p.comb)
+		}
+		return changed, nil
+	}
+	if n == 0 {
+		st.trailPair(i)
+		p.status = Dropped
+		if st.mustOverlap(int(p.u), int(p.v)) {
+			return true, contraf("pair (%d,%d): no combination left but overlap forced", p.u, p.v)
+		}
+		return true, nil
+	}
+	if n == 1 && st.mustOverlap(int(p.u), int(p.v)) {
+		// D1: mandatory choice.
+		c, _ := st.combFirst(i)
+		if err := st.commitComb(i, c); err != nil {
+			return changed, err
+		}
+		return true, nil
 	}
 	return changed, nil
 }
@@ -630,6 +659,7 @@ func (st *State) rulePPLC() (bool, error) {
 				if !st.plcSeenHas(c, min(v1, v2), max(v1, v2)) {
 					st.plcs = append(st.plcs, plcRec{Consumer: c, Alts: [2]int{v1, v2}})
 					st.trailMark(tPLCAdd)
+					st.classDirty |= copyMask
 					changed = true
 				}
 			}
@@ -651,8 +681,8 @@ func (st *State) plcSeenHas(c, lo, hi int) bool {
 	return false
 }
 
-// packingSizeLimit bounds the O(n³) window-packing analysis; beyond this
-// many nodes of one class the rule is skipped (fewer deductions, still
+// packingSizeLimit bounds the window-packing analysis; beyond this many
+// nodes of one class the rule is skipped (fewer deductions, still
 // sound).
 const packingSizeLimit = 80
 
@@ -661,59 +691,77 @@ const packingSizeLimit = 80
 // outnumber the capacity cap·(b−a+1), no schedule exists; at exact
 // saturation, instructions merely overlapping [a,b] are pushed outside.
 // Copies are packed against bus capacity with their occupancy, together
-// with pending PLC reservations.
+// with pending PLC reservations. Only marked classes are visited
+// (dirty.go).
 func (st *State) ruleWindowPacking() (bool, error) {
+	if st.classDirty == 0 {
+		return false, nil
+	}
 	changed := false
 	byClass := &st.ar.byClass
 	for c := range byClass {
 		byClass[c] = byClass[c][:0]
 	}
 	for node := 0; node < len(st.est); node++ {
-		byClass[st.class[node]] = append(byClass[st.class[node]], node)
+		if c := st.class[node]; st.classDirty&(1<<c) != 0 {
+			byClass[c] = append(byClass[c], node)
+		}
 	}
 	for class := ir.Class(0); int(class) < ir.NumClasses; class++ {
-		nodes := byClass[class]
-		if len(nodes) < 2 || len(nodes) > packingSizeLimit {
+		if st.classDirty&(1<<class) == 0 {
 			continue
 		}
-		var cap, dur int
-		if class == ir.Copy {
-			cap, dur = st.M.Buses, st.M.BusOccupancy()
-		} else {
-			cap, dur = st.M.TotalFU(class), 1
-		}
-		if cap < 1 {
-			return changed, contraf("instructions of class %s on a machine without %s units", class, class)
-		}
-		ivs := st.ar.ivs[:0]
-		for _, n := range nodes {
-			ivs = append(ivs, interval{node: n, lo: st.est[n], hi: st.lst[n] + dur - 1})
-		}
-		if class == ir.Copy {
-			// Pending PLCs reserve bus bandwidth — but one broadcast can
-			// cover every PLC it is an alternative of, so only PLCs with
-			// pairwise-disjoint alternative sets are certain to need
-			// distinct copies (a sound lower bound on future demand).
-			seenAlts := st.ar.plcAlts[:0]
-			for _, p := range st.plcs {
-				if st.plcCovered(p) || containsInt(seenAlts, p.Alts[0]) || containsInt(seenAlts, p.Alts[1]) {
-					continue
-				}
-				seenAlts = append(seenAlts, p.Alts[0], p.Alts[1])
-				lo := min(st.valueReadyEst(p.Alts[0]), st.valueReadyEst(p.Alts[1]))
-				hi := st.lst[p.Consumer] - st.M.BusLatency + dur - 1
-				ivs = append(ivs, interval{node: -1, lo: lo, hi: hi})
-			}
-			st.ar.plcAlts = seenAlts
-		}
-		st.ar.ivs = ivs
-		ch, err := st.packIntervals(ivs, cap, dur)
+		ch, err := st.packClass(class, byClass[class])
 		if err != nil {
 			return changed, err
 		}
 		changed = changed || ch
+		// A visit that moved bounds re-marked its own class (touchNode):
+		// the class runs again next pass, as it would in a full scan.
+		if !ch {
+			st.classDirty &^= 1 << class
+		}
 	}
 	return changed, nil
+}
+
+// packClass applies D2 to the nodes of one class.
+func (st *State) packClass(class ir.Class, nodes []int) (bool, error) {
+	if len(nodes) < 2 || len(nodes) > packingSizeLimit {
+		return false, nil
+	}
+	var cap, dur int
+	if class == ir.Copy {
+		cap, dur = st.M.Buses, st.M.BusOccupancy()
+	} else {
+		cap, dur = st.M.TotalFU(class), 1
+	}
+	if cap < 1 {
+		return false, contraf("instructions of class %s on a machine without %s units", class, class)
+	}
+	ivs := st.ar.ivs[:0]
+	for _, n := range nodes {
+		ivs = append(ivs, interval{node: n, lo: st.est[n], hi: st.lst[n] + dur - 1})
+	}
+	if class == ir.Copy {
+		// Pending PLCs reserve bus bandwidth — but one broadcast can
+		// cover every PLC it is an alternative of, so only PLCs with
+		// pairwise-disjoint alternative sets are certain to need
+		// distinct copies (a sound lower bound on future demand).
+		seenAlts := st.ar.plcAlts[:0]
+		for _, p := range st.plcs {
+			if st.plcCovered(p) || containsInt(seenAlts, p.Alts[0]) || containsInt(seenAlts, p.Alts[1]) {
+				continue
+			}
+			seenAlts = append(seenAlts, p.Alts[0], p.Alts[1])
+			lo := min(st.valueReadyEst(p.Alts[0]), st.valueReadyEst(p.Alts[1]))
+			hi := st.lst[p.Consumer] - st.M.BusLatency + dur - 1
+			ivs = append(ivs, interval{node: -1, lo: lo, hi: hi})
+		}
+		st.ar.plcAlts = seenAlts
+	}
+	st.ar.ivs = ivs
+	return st.packIntervals(ivs, cap, dur)
 }
 
 type interval struct {
@@ -721,6 +769,13 @@ type interval struct {
 	lo, hi int // occupied-cycle window (inclusive)
 }
 
+// packIntervals checks every window [a,b] with a among the intervals'
+// starts and b among their ends, in (a, b) order. The demand of [a,b]
+// counts the intervals with lo ≥ a and hi ≤ b. Within one a, a push
+// keeps an interval in {lo ≥ a} with its hi unchanged and a pull only
+// touches intervals with lo < a, so the ends of {lo ≥ a} are sorted
+// once per a and every b's demand is read off with one moving pointer:
+// the same demands, in the same order, as recounting every window.
 func (st *State) packIntervals(ivs []interval, cap, dur int) (bool, error) {
 	los := st.ar.los[:0]
 	his := st.ar.his[:0]
@@ -735,16 +790,23 @@ func (st *State) packIntervals(ivs []interval, cap, dur int) (bool, error) {
 	st.ar.los, st.ar.his = los, his
 	changed := false
 	for _, a := range los {
+		inside := st.ar.insideHi[:0]
+		for _, iv := range ivs {
+			if iv.lo >= a {
+				inside = append(inside, iv.hi)
+			}
+		}
+		slices.Sort(inside)
+		st.ar.insideHi = inside
+		k := 0
 		for _, b := range his {
 			if b < a {
 				continue
 			}
-			demand := 0
-			for _, iv := range ivs {
-				if iv.lo >= a && iv.hi <= b {
-					demand += dur
-				}
+			for k < len(inside) && inside[k] <= b {
+				k++
 			}
+			demand := k * dur
 			room := cap * (b - a + 1)
 			if demand > room {
 				return changed, contraf("window [%d,%d]: demand %d exceeds capacity %d", a, b, demand, room)

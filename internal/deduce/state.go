@@ -247,6 +247,15 @@ type State struct {
 	ccStart     []int
 	ccMembers   []int
 	ccGroupsVer uint64
+
+	// Incremental-pass marks (dirty.go): original instructions whose
+	// bounds moved since U2/D1 last expanded them, pairs U2/D1 must
+	// revisit, instruction classes D2 must revisit (one bit per class),
+	// and the union-find version of U3's last complete scan (0 = none).
+	nodeDirty  []uint64
+	pairDirty  []uint64
+	classDirty uint32
+	u3Ver      uint64
 }
 
 // Options configures state construction.
@@ -382,6 +391,10 @@ func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[i
 	st.ccRoots = claim(&ar.ccRoots, 0, n)
 	st.ccStart = claim(&ar.ccStart, 0, n+1)
 	st.ccMembers = claim(&ar.ccMembers, 0, n)
+
+	st.nodeDirty = claim(&ar.nodeDirty, dirtyWords(n), dirtyWords(n))
+	st.pairDirty = claim(&ar.pairDirty, dirtyWords(np), dirtyWords(np))
+	st.markAllDirty()
 
 	// Live-in consumers and live-out producers relate to anchors from
 	// the start; the rules pick the relations up during propagation.
@@ -555,6 +568,7 @@ func (st *State) addNode(class ir.Class, lat, est, lst int) (int, error) {
 	st.cc.Add()
 	st.vc.AddNode()
 	st.trailMark(tNodeAdd)
+	st.classDirty |= 1 << class
 	return node, nil
 }
 
@@ -599,7 +613,10 @@ func (st *State) Clone() *State {
 		// The groups cache is derived data over arena buffers; the
 		// clone rebuilds it on first use.
 		ccGroupsVer: 0,
+		nodeDirty:   make([]uint64, len(st.nodeDirty)),
+		pairDirty:   make([]uint64, len(st.pairDirty)),
 	}
+	cp.markAllDirty()
 	for i := range st.outA {
 		cp.outA[i] = append([]int(nil), st.outA[i]...)
 		cp.inA[i] = append([]int(nil), st.inA[i]...)

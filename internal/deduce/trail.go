@@ -161,14 +161,19 @@ func (st *State) undoTo(cp trailCP) {
 		switch e.kind {
 		case tEst:
 			st.est[e.a] = e.b
+			st.touchNode(e.a)
 		case tLst:
 			st.lst[e.a] = e.b
+			st.touchNode(e.a)
 		case tPairMeta:
 			p := &st.pairs[e.a]
 			p.status = e.status
 			p.comb = int32(e.b)
+			st.markPair(e.a)
+			st.u3Ver = 0 // a pair may be Open again inside a component
 		case tCombWord:
 			st.combWords[e.a] = e.w
+			st.markPair(e.a / st.idx.combW)
 		case tArcLat:
 			st.arcs[e.a].Lat = e.b
 		case tArcAdd:
@@ -181,8 +186,10 @@ func (st *State) undoTo(cp trailCP) {
 			n := len(st.comms) - 1
 			st.commIdx[st.commSlot(st.comms[n].Value)] = -1
 			st.comms = st.comms[:n]
+			st.classDirty |= copyMask
 		case tPLCAdd:
 			st.plcs = st.plcs[:len(st.plcs)-1]
+			st.classDirty |= copyMask
 		case tNodeAdd:
 			n := len(st.est) - 1
 			st.class = st.class[:n]
@@ -191,6 +198,7 @@ func (st *State) undoTo(cp trailCP) {
 			st.lst = st.lst[:n]
 			st.outA = st.outA[:n]
 			st.inA = st.inA[:n]
+			st.classDirty |= copyMask
 		}
 	}
 	tr.entries = tr.entries[:cp.entries]
@@ -198,28 +206,34 @@ func (st *State) undoTo(cp trailCP) {
 	st.vc.TrailUndo(cp.vc)
 }
 
-// setEst moves a node's earliest start, recording the old bound.
+// setEst moves a node's earliest start, recording the old bound and
+// marking the node for the incremental rules.
 func (st *State) setEst(node, v int) {
 	if st.tr != nil {
 		st.tr.entries = append(st.tr.entries, trailEntry{kind: tEst, a: node, b: st.est[node]})
 	}
 	st.est[node] = v
+	st.touchNode(node)
 }
 
-// setLst moves a node's latest start, recording the old bound.
+// setLst moves a node's latest start, recording the old bound and
+// marking the node for the incremental rules.
 func (st *State) setLst(node, v int) {
 	if st.tr != nil {
 		st.tr.entries = append(st.tr.entries, trailEntry{kind: tLst, a: node, b: st.lst[node]})
 	}
 	st.lst[node] = v
+	st.touchNode(node)
 }
 
 // trailPair records pair i's pre-mutation status and chosen comb. Call
 // before the first status/comb mutation of a pair in any code path;
 // the combination bitset needs no explicit snapshot — setCombWord
 // trails each mutated word itself. Redundant records are harmless
-// (undo runs in reverse, so the oldest snapshot wins).
+// (undo runs in reverse, so the oldest snapshot wins). The pair is
+// marked for U2/D1 whether or not a trail is open.
 func (st *State) trailPair(i int) {
+	st.markPair(i)
 	if st.tr == nil {
 		return
 	}

@@ -78,6 +78,12 @@ type Superblock struct {
 	exits []int   // IDs of exit branches, in program order
 	succs [][]int // indices into Edges, by From
 	preds [][]int // indices into Edges, by To
+
+	// consStart/cons form a CSR of data consumers: the targets of the
+	// data edges out of u are cons[consStart[u]:consStart[u+1]], in
+	// edge order.
+	consStart []int32
+	cons      []int
 }
 
 // N returns the number of instructions.
@@ -94,15 +100,13 @@ func (sb *Superblock) OutEdges(u int) []int { return sb.succs[u] }
 func (sb *Superblock) InEdges(u int) []int { return sb.preds[u] }
 
 // DataConsumers returns the IDs of instructions that consume the value
-// produced by u (i.e. targets of data edges out of u).
+// produced by u (i.e. targets of data edges out of u), in edge order.
+// The slice is a read-only view into the superblock's index: callers
+// must not modify it (appending is safe; its capacity ends at its
+// length).
 func (sb *Superblock) DataConsumers(u int) []int {
-	var out []int
-	for _, ei := range sb.succs[u] {
-		if sb.Edges[ei].Kind == Data {
-			out = append(out, sb.Edges[ei].To)
-		}
-	}
-	return out
+	lo, hi := sb.consStart[u], sb.consStart[u+1]
+	return sb.cons[lo:hi:hi]
 }
 
 // NegInf is the distance reported by LongestDist for unordered
@@ -279,7 +283,8 @@ func (sb *Superblock) Clone() *Superblock {
 	return cp
 }
 
-// index (re)builds the adjacency and exit caches from Instrs/Edges.
+// index (re)builds the adjacency, data-consumer and exit caches from
+// Instrs/Edges.
 func (sb *Superblock) index() {
 	n := len(sb.Instrs)
 	sb.succs = make([][]int, n)
@@ -287,6 +292,16 @@ func (sb *Superblock) index() {
 	for i, e := range sb.Edges {
 		sb.succs[e.From] = append(sb.succs[e.From], i)
 		sb.preds[e.To] = append(sb.preds[e.To], i)
+	}
+	sb.consStart = make([]int32, n+1)
+	sb.cons = nil
+	for u := 0; u < n; u++ {
+		for _, ei := range sb.succs[u] {
+			if sb.Edges[ei].Kind == Data {
+				sb.cons = append(sb.cons, sb.Edges[ei].To)
+			}
+		}
+		sb.consStart[u+1] = int32(len(sb.cons))
 	}
 	sb.exits = sb.exits[:0]
 	for i, in := range sb.Instrs {

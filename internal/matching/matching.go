@@ -74,14 +74,19 @@ func exact(n int, edges []Edge) []Edge {
 	size := 1 << n
 	best := make([]int32, size)
 	choice := make([]int32, size) // edge index chosen for lowest set bit, or −1
-	edgeIdx := make(map[[2]int]int32, len(edges))
+	// edgeAt[u*n+v] (u < v) is the heaviest edge between u and v, the
+	// first one on ties; −1 when there is none.
+	edgeAt := make([]int32, n*n)
+	for i := range edgeAt {
+		edgeAt[i] = -1
+	}
 	for i, e := range edges {
 		u, v := e.U, e.V
 		if u > v {
 			u, v = v, u
 		}
-		if old, ok := edgeIdx[[2]int{u, v}]; !ok || edges[old].Weight < e.Weight {
-			edgeIdx[[2]int{u, v}] = int32(i)
+		if old := edgeAt[u*n+v]; old < 0 || edges[old].Weight < e.Weight {
+			edgeAt[u*n+v] = int32(i)
 		}
 	}
 	for s := 1; s < size; s++ {
@@ -100,7 +105,7 @@ func exact(n int, edges []Edge) []Edge {
 			if u > v {
 				u, v = v, u
 			}
-			ei := edgeIdx[[2]int{u, v}]
+			ei := edgeAt[u*n+v]
 			w := int32(edges[ei].Weight) + best[s&^(1<<low)&^(1<<other)]
 			if w > best[s] {
 				best[s] = w
