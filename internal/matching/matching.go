@@ -9,7 +9,10 @@
 // larger graphs.
 package matching
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Edge is an undirected weighted edge.
 type Edge struct {
@@ -65,15 +68,26 @@ func IsMatching(m []Edge) bool {
 
 // exact solves maximum-weight matching by DP over vertex subsets:
 // best[S] = best matching weight using only vertices in S. O(2^n · deg).
+// The table is the only 2^n-sized allocation, so its element is as
+// narrow as the total edge weight allows: int16 in practice (8 MiB at
+// ExactLimit), int32 beyond.
 func exact(n int, edges []Edge) []Edge {
+	total := 0
+	for _, e := range edges {
+		total += e.Weight
+	}
+	if total <= math.MaxInt16 {
+		return exactDP[int16](n, edges)
+	}
+	return exactDP[int32](n, edges)
+}
+
+func exactDP[W int16 | int32](n int, edges []Edge) []Edge {
 	adj := make([][]Edge, n)
 	for _, e := range edges {
 		adj[e.U] = append(adj[e.U], e)
 		adj[e.V] = append(adj[e.V], e)
 	}
-	size := 1 << n
-	best := make([]int32, size)
-	choice := make([]int32, size) // edge index chosen for lowest set bit, or −1
 	// edgeAt[u*n+v] (u < v) is the heaviest edge between u and v, the
 	// first one on ties; −1 when there is none.
 	edgeAt := make([]int32, n*n)
@@ -89,13 +103,16 @@ func exact(n int, edges []Edge) []Edge {
 			edgeAt[u*n+v] = int32(i)
 		}
 	}
-	for s := 1; s < size; s++ {
-		choice[s] = -1
-		// Lowest vertex in s either stays unmatched...
+	size := 1 << n
+	best := make([]W, size)
+	// choose returns the edge matching the lowest vertex of s in s's
+	// optimum (the first strict improvement in adjacency order), or −1
+	// when that vertex stays unmatched. best must be final for every
+	// proper subset of s.
+	choose := func(s int) (W, int32) {
 		low := lowestBit(s)
 		rest := s &^ (1 << low)
-		best[s] = best[rest]
-		// ...or matches one of its neighbors in s.
+		w, ch := best[rest], int32(-1)
 		for _, e := range adj[low] {
 			other := e.U + e.V - low
 			if s&(1<<other) == 0 {
@@ -106,22 +123,26 @@ func exact(n int, edges []Edge) []Edge {
 				u, v = v, u
 			}
 			ei := edgeAt[u*n+v]
-			w := int32(edges[ei].Weight) + best[s&^(1<<low)&^(1<<other)]
-			if w > best[s] {
-				best[s] = w
-				choice[s] = ei
+			if c := W(edges[ei].Weight) + best[rest&^(1<<other)]; c > w {
+				w, ch = c, ei
 			}
 		}
+		return w, ch
 	}
-	// Reconstruct.
+	for s := 1; s < size; s++ {
+		best[s], _ = choose(s)
+	}
+	// Reconstruct, recomputing each step's choice instead of storing a
+	// second 2^n table.
 	var out []Edge
 	s := size - 1
 	for s != 0 {
-		if choice[s] < 0 {
+		_, ch := choose(s)
+		if ch < 0 {
 			s &^= 1 << lowestBit(s)
 			continue
 		}
-		e := edges[choice[s]]
+		e := edges[ch]
 		out = append(out, e)
 		s &^= 1 << e.U
 		s &^= 1 << e.V
