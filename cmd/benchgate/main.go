@@ -18,7 +18,8 @@
 // A benchmark present in the baseline but missing from the current
 // document fails the gate (lost coverage); one present only in the
 // current document passes with a note (update the baseline to start
-// gating it).
+// gating it). When the two documents record different machines (see
+// benchjson), both provenances are printed before the verdict.
 //
 //	benchgate -baseline BENCH_baseline.json -current BENCH_deduce.json
 //
@@ -63,8 +64,38 @@ import (
 
 // benchDoc mirrors benchjson's output document.
 type benchDoc struct {
-	Version    string  `json:"version"`
-	Benchmarks []bench `json:"benchmarks"`
+	Version    string      `json:"version"`
+	Provenance *provenance `json:"provenance,omitempty"`
+	Benchmarks []bench     `json:"benchmarks"`
+}
+
+// provenance mirrors benchjson's record of the measuring machine.
+type provenance struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+}
+
+func (p *provenance) String() string {
+	if p == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("nproc %d, GOMAXPROCS %d, %s, %s", p.NProc, p.GOMAXPROCS, p.CPUModel, p.GoVersion)
+}
+
+// provenanceNotes describes both documents' machines when they differ:
+// their ns/op figures are then not comparable beyond the wide band.
+func provenanceNotes(baseline, current *benchDoc) []string {
+	b, c := baseline.Provenance, current.Provenance
+	if b != nil && c != nil && *b == *c {
+		return nil
+	}
+	return []string{
+		"baseline and current were measured on different machines (or one does not say)",
+		"  baseline: " + b.String(),
+		"  current:  " + c.String(),
+	}
 }
 
 type bench struct {
@@ -132,6 +163,7 @@ func main() {
 			fatal(err)
 		}
 		violations, notes = gate(baseline, current, *allocsTol, *nsTol)
+		notes = append(provenanceNotes(baseline, current), notes...)
 		gated = len(baseline.Benchmarks)
 	}
 	for _, n := range notes {

@@ -196,3 +196,19 @@ func TestGateServiceMissingScenarioFails(t *testing.T) {
 		t.Fatalf("violations %v, want one lost-coverage violation", violations)
 	}
 }
+
+func TestProvenanceNotes(t *testing.T) {
+	a := &provenance{NProc: 2, GOMAXPROCS: 2, CPUModel: "cpu A", GoVersion: "go1.24.0"}
+	b := &provenance{NProc: 8, GOMAXPROCS: 8, CPUModel: "cpu B", GoVersion: "go1.24.0"}
+	if notes := provenanceNotes(&benchDoc{Provenance: a}, &benchDoc{Provenance: &provenance{NProc: 2, GOMAXPROCS: 2, CPUModel: "cpu A", GoVersion: "go1.24.0"}}); len(notes) != 0 {
+		t.Fatalf("same machine: notes %v, want none", notes)
+	}
+	notes := provenanceNotes(&benchDoc{Provenance: a}, &benchDoc{Provenance: b})
+	if text := strings.Join(notes, "\n"); !strings.Contains(text, "cpu A") || !strings.Contains(text, "cpu B") {
+		t.Fatalf("different machines: notes %q, want both provenances", text)
+	}
+	notes = provenanceNotes(&benchDoc{}, &benchDoc{Provenance: b})
+	if text := strings.Join(notes, "\n"); !strings.Contains(text, "not recorded") || !strings.Contains(text, "cpu B") {
+		t.Fatalf("unrecorded baseline: notes %q, want both sides named", text)
+	}
+}

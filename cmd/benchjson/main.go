@@ -4,6 +4,13 @@
 // benchmark. Lines that are not benchmark results pass through
 // unparsed; the tool never fails on extra output.
 //
+// The document also records where it was measured: nproc, the
+// GOMAXPROCS the benchmarks ran with (read from the -P suffix of their
+// names), the CPU model (from the "cpu:" header go test prints, else
+// /proc/cpuinfo) and the Go version. Documents measured on different
+// machines are not a trajectory; benchgate prints both provenances when
+// they differ.
+//
 //	go test -bench=. -benchmem -count=5 ./internal/deduce | benchjson > BENCH_deduce.json
 package main
 
@@ -13,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,6 +41,15 @@ type result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
+// provenance names the machine and toolchain a document was measured
+// with.
+type provenance struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+}
+
 type acc struct {
 	runs            int
 	n               int64
@@ -51,12 +68,22 @@ func main() {
 
 	accs := map[string]*acc{}
 	var order []string
+	prov := provenance{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	sawBench := false
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		name, n, ns, b, allocs, extra, hasMem, ok := parseLine(sc.Text())
+		line := sc.Text()
+		if model, ok := strings.CutPrefix(line, "cpu: "); ok {
+			prov.CPUModel = strings.TrimSpace(model)
+			continue
+		}
+		name, n, ns, b, allocs, extra, hasMem, ok := parseLine(line)
 		if !ok {
 			continue
+		}
+		if !sawBench {
+			prov.GOMAXPROCS, sawBench = procsSuffix(strings.Fields(line)[0]), true
 		}
 		a := accs[name]
 		if a == nil {
@@ -83,13 +110,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	if prov.CPUModel == "" {
+		prov.CPUModel = cpuModel()
+	}
 
 	// The version stamp ties a BENCH_*.json document to the build that
 	// produced it (the Makefile stamps it via -ldflags).
 	out := struct {
-		Version    string   `json:"version"`
-		Benchmarks []result `json:"benchmarks"`
-	}{Version: version.String()}
+		Version    string     `json:"version"`
+		Provenance provenance `json:"provenance"`
+		Benchmarks []result   `json:"benchmarks"`
+	}{Version: version.String(), Provenance: prov}
 	sort.Strings(order)
 	for _, name := range order {
 		a := accs[name]
@@ -117,6 +148,34 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// procsSuffix returns the GOMAXPROCS a benchmark ran with, from the -P
+// suffix of its name; go test omits the suffix when GOMAXPROCS is 1.
+func procsSuffix(name string) int {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			return p
+		}
+	}
+	return 1
+}
+
+// cpuModel reads the CPU model from /proc/cpuinfo ("unknown" where it
+// is not available).
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // parseLine handles the testing package's benchmark result format:
