@@ -106,12 +106,15 @@ func benchmarkGraph(n int) []Edge {
 	return edges
 }
 
+var exactSink []Edge
+
 // BenchmarkExact times the DP at the exact limit on a sparse graph of
 // the shape stage 3 builds.
 func BenchmarkExact(b *testing.B) {
 	edges := benchmarkGraph(ExactLimit)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exact(ExactLimit, edges)
+		exactSink = exact(ExactLimit, edges)
 	}
 }
