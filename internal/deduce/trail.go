@@ -186,7 +186,6 @@ func (st *State) undoTo(cp trailCP) {
 			n := len(st.comms) - 1
 			st.commIdx[st.commSlot(st.comms[n].Value)] = -1
 			st.comms = st.comms[:n]
-			st.classDirty |= copyMask
 		case tPLCAdd:
 			st.plcs = st.plcs[:len(st.plcs)-1]
 			st.classDirty |= copyMask
