@@ -358,18 +358,29 @@ func runOverload(d *Scenario, svc *service.Service, hollow *HollowRunner, pool [
 	defer hollow.Release()
 
 	var wg sync.WaitGroup
-	for i := 0; i < fill; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := clock.Now()
-			res := svc.Submit(d.request(mach, opts, pool[i], 0))
-			col.record(clock.Now().Sub(t0), res)
-		}(i)
+	submit := func(from, to int) {
+		for i := from; i < to; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				t0 := clock.Now()
+				res := svc.Submit(d.request(mach, opts, pool[i], 0))
+				col.record(clock.Now().Sub(t0), res)
+			}(i)
+		}
 	}
-	if err := waitStats(svc, func(st service.Stats) bool {
-		return st.CacheMisses == int64(fill) && st.QueueLen == d.Service.QueueDepth
-	}); err != nil {
+	// The workers must hold their requests before the queue fills:
+	// submitted all at once, QueueDepth+1 requests can reach the queue
+	// before any worker dequeues, and one of the fill would shed.
+	submit(0, d.Service.Workers)
+	err := waitStats(svc, func(service.Stats) bool { return hollow.Calls() == d.Service.Workers })
+	if err == nil {
+		submit(d.Service.Workers, fill)
+		err = waitStats(svc, func(st service.Stats) bool {
+			return st.CacheMisses == int64(fill) && st.QueueLen == d.Service.QueueDepth
+		})
+	}
+	if err != nil {
 		hollow.Release()
 		wg.Wait()
 		return fmt.Errorf("loadsim: scenario %s: %w", d.Name, err)
