@@ -20,7 +20,9 @@ import (
 //     reads the bounds of its members, so a bound move marks the node's
 //     class. Copy also reads the pending PLCs, the communications and
 //     the bounds of PLC producers and consumers: addNode, a PLC append,
-//     and any bound move while PLCs exist mark Copy.
+//     and any bound move while PLCs exist mark Copy. Copy is the last
+//     class, so a mark it gets from another class's visit is served in
+//     the same pass.
 //   - U3 (ruleCCCoherence) rescans only when the union-find's version
 //     moved or a pair's status was undone since its last complete scan.
 //

@@ -275,3 +275,41 @@ func TestPackIntervalsMatchesTripleLoop(t *testing.T) {
 		t.Fatalf("random sets too easy: %d tightened, %d overflowed", saturated, failed)
 	}
 }
+
+// TestWindowPackingVisitsCopyMarkedInPass starts D2 with only Int
+// marked, as in a pass after one whose Int visit moved bounds and whose
+// Copy visit changed nothing. The Int visit pulls the latest start of a
+// PLC consumer, which narrows the PLC's bus reservation and marks Copy;
+// the Copy visit later in the same pass must then see both copies and
+// push one of them, exactly as a pass with every class marked does.
+func TestWindowPackingVisitsCopyMarkedInPass(t *testing.T) {
+	build := func() *State {
+		// 0,1: Int fixed at cycle 3, saturating both Int units there.
+		// 2: Int, consumer of a PLC over two live-ins, window [0,3].
+		// 3,4: copies, windows [0,1] and [1,3].
+		st := packingState([]int{3, 3, 0, 0, 1}, []int{3, 3, 3, 1, 3})
+		st.nOrig = 3
+		st.M = machine.TwoCluster1Lat()
+		st.class[3], st.class[4] = ir.Copy, ir.Copy
+		st.commIdx = []int32{-1, -1, -1, -1, -1}
+		st.plcs = []plcRec{{Consumer: 2, Alts: [2]int{-1, -2}}}
+		return st
+	}
+	full := build()
+	full.classDirty = allClasses
+	if _, err := full.ruleWindowPacking(); err != nil {
+		t.Fatalf("all classes marked: %v", err)
+	}
+	if full.lst[2] != 2 || full.est[4] != 2 {
+		t.Fatalf("all classes marked: consumer lst %d, second copy est %d; want 2 and 2", full.lst[2], full.est[4])
+	}
+	inc := build()
+	inc.classDirty = 1 << ir.Int
+	if _, err := inc.ruleWindowPacking(); err != nil {
+		t.Fatalf("Int marked: %v", err)
+	}
+	if !slices.Equal(inc.est, full.est) || !slices.Equal(inc.lst, full.lst) {
+		t.Fatalf("Int marked: est %v lst %v, want est %v lst %v as with every class marked",
+			inc.est, inc.lst, full.est, full.lst)
+	}
+}

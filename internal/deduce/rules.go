@@ -702,10 +702,12 @@ func (st *State) ruleWindowPacking() (bool, error) {
 	for c := range byClass {
 		byClass[c] = byClass[c][:0]
 	}
+	// Every class is collected, not only the marked ones: a visit that
+	// moves a bound while PLCs exist marks Copy, which the loop reaches
+	// later in this same pass.
 	for node := 0; node < len(st.est); node++ {
-		if c := st.class[node]; st.classDirty&(1<<c) != 0 {
-			byClass[c] = append(byClass[c], node)
-		}
+		c := st.class[node]
+		byClass[c] = append(byClass[c], node)
 	}
 	for class := ir.Class(0); int(class) < ir.NumClasses; class++ {
 		if st.classDirty&(1<<class) == 0 {
